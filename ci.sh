@@ -1,9 +1,5 @@
 #!/usr/bin/env bash
 # Repo gate: build, tests, lints, formatting. Run before every commit.
-#
-# Note: the workspace root is itself a package (panda-examples), so a
-# bare `cargo test` would only run the root package's tests — every
-# cargo invocation here must say --workspace to cover the crates.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,7 +22,9 @@ step() {
 cargo build --release --workspace
 # Compile the test binaries unbounded; the bound below is on running them.
 cargo test -q --workspace --no-run
-step "cargo test" 600 cargo test -q --workspace
+# The bounded test step is the tier-1 command verbatim; the workspace's
+# default-members make it cover every crate.
+step "cargo test" 600 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

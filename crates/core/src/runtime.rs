@@ -167,7 +167,7 @@ impl PandaConfig {
     }
 
     /// Attach an observability recorder (e.g. a
-    /// [`panda_obs::CountingRecorder`] for aggregate phase totals, or a
+    /// [`panda_obs::MetricsHub`] for aggregate phase totals, or a
     /// [`panda_obs::TimelineRecorder`] for per-subchunk traces). The
     /// recorder is installed on every transport and file system at
     /// launch; [`PandaSystem::report`] aggregates it afterwards.

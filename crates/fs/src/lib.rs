@@ -38,8 +38,9 @@
 //! [`panda_obs::Recorder`] API: `FsRead` / `FsWrite` / `FsSync` events
 //! carrying offset, size, sequentiality, and (when a recorder is
 //! attached) per-call device time. Attach one with the `with_recorder`
-//! constructors or [`FileSystem::set_recorder`]; [`IoStats`] is a thin
-//! adapter over the same event stream.
+//! constructors or [`FileSystem::set_recorder`]. [`IoStats`] counts the
+//! same events into plain relaxed counters the backend owns, whether or
+//! not a recorder is attached.
 
 #![warn(missing_docs)]
 

@@ -1,19 +1,18 @@
 //! Internal bridge from file-system backends to the unified
 //! [`panda_obs`] recorder API.
 //!
-//! Every backend owns one [`FsObs`]. It fans each access event out to:
-//!
-//! 1. a private [`CountingRecorder`] that backs the [`IoStats`]
-//!    accessors (so the long-standing counter API keeps working),
-//! 2. the externally attached [`Recorder`] (null by default; installed
-//!    via `with_recorder` builders or [`crate::FileSystem::set_recorder`]).
+//! Every backend owns one [`FsObs`]. It counts each access event into
+//! the backend's [`IoStats`] (so the long-standing counter API keeps
+//! working) and forwards it to the externally attached [`Recorder`]
+//! (null by default; installed via `with_recorder` builders or
+//! [`crate::FileSystem::set_recorder`]).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use panda_obs::{CountingRecorder, Event, Recorder};
+use panda_obs::{Event, Recorder};
 
 use crate::stats::IoStats;
 
@@ -23,9 +22,7 @@ pub(crate) struct FsObs {
     /// Fabric rank this backend reports as (settable after creation
     /// because backends are usually built before ranks are assigned).
     node: AtomicU32,
-    /// Always-on counters backing [`IoStats`].
-    counting: Arc<CountingRecorder>,
-    /// The adapter handed out by `FileSystem::stats()`.
+    /// Always-on counters handed out by `FileSystem::stats()`.
     stats: Arc<IoStats>,
     /// Externally attached recorder (null unless installed).
     external: RwLock<Arc<dyn Recorder>>,
@@ -39,17 +36,14 @@ impl FsObs {
 
     /// State reporting to `recorder` as `node`.
     pub(crate) fn with_recorder(recorder: Arc<dyn Recorder>, node: u32) -> Self {
-        let counting = Arc::new(CountingRecorder::new());
-        let stats = Arc::new(IoStats::over(Arc::clone(&counting)));
         FsObs {
             node: AtomicU32::new(node),
-            counting,
-            stats,
+            stats: Arc::new(IoStats::new()),
             external: RwLock::new(recorder),
         }
     }
 
-    /// The [`IoStats`] adapter for `FileSystem::stats()`.
+    /// The [`IoStats`] for `FileSystem::stats()`.
     pub(crate) fn stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.stats)
     }
@@ -61,19 +55,18 @@ impl FsObs {
     }
 
     /// Whether call sites should measure durations: only when an
-    /// enabled external recorder is attached (the counting backing
-    /// store never needs the clock).
+    /// enabled external recorder is attached (the counters never need
+    /// the clock).
     pub(crate) fn timed(&self) -> bool {
         self.external.read().enabled()
     }
 
-    /// Fan one event out to the counters and the external recorder.
+    /// Count one event and forward it to the external recorder.
     pub(crate) fn emit(&self, event: &Event<'_>) {
-        let node = self.node.load(Ordering::Relaxed);
-        self.counting.record(node, event);
+        self.stats.record(event);
         let external = self.external.read();
         if external.enabled() {
-            external.record(node, event);
+            external.record(self.node.load(Ordering::Relaxed), event);
         }
     }
 }

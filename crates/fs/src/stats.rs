@@ -9,82 +9,95 @@
 //! Panda collectives produce zero seeks while the naive client-directed
 //! baseline produces many.
 //!
-//! Since the unified observability layer landed, [`IoStats`] is a thin
-//! read adapter over a [`panda_obs::CountingRecorder`]: backends report
-//! [`panda_obs::Event::FsRead`] / [`panda_obs::Event::FsWrite`] /
-//! [`panda_obs::Event::FsSync`] events and this type merely projects the
-//! familiar
-//! counter names out of them. The accessor API is unchanged.
+//! [`IoStats`] is a set of plain relaxed counters owned by the backend.
+//! Backends report [`panda_obs::Event::FsRead`] /
+//! [`panda_obs::Event::FsWrite`] / [`panda_obs::Event::FsSync`] events,
+//! and the backend's observability bridge bumps these counters from
+//! them on every call, whatever recorder is attached: two or three
+//! relaxed adds per call, no lock and no clock read.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use panda_obs::{CountingRecorder, EventKind};
+use panda_obs::Event;
 
-/// Shared operation counters for one file-system backend, projected
-/// from the backend's event stream.
-#[derive(Debug)]
+/// Shared operation counters for one file-system backend.
+#[derive(Debug, Default)]
 pub struct IoStats {
-    counting: Arc<CountingRecorder>,
-}
-
-impl Default for IoStats {
-    fn default() -> Self {
-        Self::new()
-    }
+    reads: AtomicU64,
+    writes: AtomicU64,
+    bytes_read: AtomicU64,
+    bytes_written: AtomicU64,
+    sequential: AtomicU64,
+    seeks: AtomicU64,
+    syncs: AtomicU64,
 }
 
 impl IoStats {
-    /// Fresh zeroed counters over a private recorder. Backends do not
-    /// use this (they share their recorder via [`IoStats::over`]); it
-    /// exists for tests and standalone accounting.
+    /// Fresh zeroed counters.
     pub fn new() -> Self {
-        Self::over(Arc::new(CountingRecorder::new()))
+        Self::default()
     }
 
-    /// An adapter reading from `counting`.
-    pub fn over(counting: Arc<CountingRecorder>) -> Self {
-        IoStats { counting }
-    }
-
-    /// The event counters this adapter projects from.
-    pub fn recorder(&self) -> &Arc<CountingRecorder> {
-        &self.counting
+    /// Count one backend event; events other than fs reads, writes and
+    /// syncs are ignored.
+    pub(crate) fn record(&self, event: &Event<'_>) {
+        let (ops, total, bytes, sequential) = match *event {
+            Event::FsRead {
+                bytes, sequential, ..
+            } => (&self.reads, &self.bytes_read, bytes, sequential),
+            Event::FsWrite {
+                bytes, sequential, ..
+            } => (&self.writes, &self.bytes_written, bytes, sequential),
+            Event::FsSync { .. } => {
+                self.syncs.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            _ => return,
+        };
+        ops.fetch_add(1, Ordering::Relaxed);
+        total.fetch_add(bytes, Ordering::Relaxed);
+        let tally = if sequential {
+            &self.sequential
+        } else {
+            &self.seeks
+        };
+        tally.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of read operations.
     pub fn reads(&self) -> u64 {
-        self.counting.count(EventKind::FsRead)
+        self.reads.load(Ordering::Relaxed)
     }
 
     /// Number of write operations.
     pub fn writes(&self) -> u64 {
-        self.counting.count(EventKind::FsWrite)
+        self.writes.load(Ordering::Relaxed)
     }
 
     /// Total bytes read.
     pub fn bytes_read(&self) -> u64 {
-        self.counting.bytes(EventKind::FsRead)
+        self.bytes_read.load(Ordering::Relaxed)
     }
 
     /// Total bytes written.
     pub fn bytes_written(&self) -> u64 {
-        self.counting.bytes(EventKind::FsWrite)
+        self.bytes_written.load(Ordering::Relaxed)
     }
 
     /// Accesses that required a seek (did not continue the previous
     /// access on their handle).
     pub fn seeks(&self) -> u64 {
-        self.counting.fs_seeks()
+        self.seeks.load(Ordering::Relaxed)
     }
 
     /// Accesses that continued sequentially.
     pub fn sequential_ops(&self) -> u64 {
-        self.counting.fs_sequential()
+        self.sequential.load(Ordering::Relaxed)
     }
 
     /// Number of `sync` calls.
     pub fn syncs(&self) -> u64 {
-        self.counting.count(EventKind::FsSync)
+        self.syncs.load(Ordering::Relaxed)
     }
 
     /// Fraction of accesses that were sequential, in `[0, 1]`; 1.0 when
@@ -123,7 +136,6 @@ impl SeqTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use panda_obs::{Event, Recorder};
     use std::time::Duration;
 
     #[test]
@@ -140,38 +152,34 @@ mod tests {
     #[test]
     fn stats_project_recorded_events() {
         let s = IoStats::new();
-        let rec = Arc::clone(s.recorder());
         let write = |bytes: u64, offset: u64, sequential: bool| {
-            rec.record(
-                0,
-                &Event::FsWrite {
-                    file: "f",
-                    offset,
-                    bytes,
-                    sequential,
-                    dur: Duration::ZERO,
-                },
-            );
+            s.record(&Event::FsWrite {
+                file: "f",
+                offset,
+                bytes,
+                sequential,
+                dur: Duration::ZERO,
+            });
         };
         write(100, 0, true);
         write(50, 999, false);
-        rec.record(
-            0,
-            &Event::FsRead {
-                file: "f",
-                offset: 0,
-                bytes: 10,
-                sequential: true,
-                dur: Duration::ZERO,
-            },
-        );
-        rec.record(
-            0,
-            &Event::FsSync {
-                file: "f",
-                dur: Duration::ZERO,
-            },
-        );
+        s.record(&Event::FsRead {
+            file: "f",
+            offset: 0,
+            bytes: 10,
+            sequential: true,
+            dur: Duration::ZERO,
+        });
+        s.record(&Event::FsSync {
+            file: "f",
+            dur: Duration::ZERO,
+        });
+        // Events of other layers leave the counters alone.
+        s.record(&Event::FsSubmit {
+            file: "f",
+            offset: 0,
+            bytes: 7,
+        });
         assert_eq!(s.writes(), 2);
         assert_eq!(s.reads(), 1);
         assert_eq!(s.bytes_written(), 150);

@@ -59,7 +59,7 @@ impl InProcFabric {
                 peers: txs.clone(),
                 rx,
                 pending: VecDeque::new(),
-                obs: MsgObs::new(rank as u32, Arc::clone(stats.recorder())),
+                obs: MsgObs::new(rank as u32, Arc::clone(&stats)),
                 stats: Arc::clone(&stats),
                 recv_timeout,
             })
@@ -343,9 +343,9 @@ mod tests {
         assert_eq!(recvd.len(), 1);
         assert_eq!(recvd[0].node, 1);
         assert_eq!(recvd[0].peer, Some(0));
-        // The fabric's own counters saw the same traffic.
-        let (msgs, bytes) = rec.counting().tag_counts(4);
-        assert_eq!((msgs, bytes), (1, 32));
+        // The recorder's own counters saw the same traffic.
+        let tag = rec.counters().unwrap().tag(4);
+        assert_eq!((tag.msgs, tag.bytes), (1, 32));
     }
 
     #[test]

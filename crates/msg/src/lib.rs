@@ -40,6 +40,6 @@ pub use envelope::{Bytes, Envelope, NodeId, Payload};
 pub use error::MsgError;
 pub use group::Group;
 pub use inproc::{InProcEndpoint, InProcFabric};
-pub use stats::{FabricStats, TagCounts};
+pub use stats::FabricStats;
 pub use tcp::{TcpEndpoint, TcpFabric};
 pub use transport::{MatchSpec, Transport};

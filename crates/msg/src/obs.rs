@@ -1,33 +1,34 @@
 //! Internal bridge from transports to the unified [`panda_obs`]
 //! recorder API.
 //!
-//! Each endpoint owns one [`MsgObs`]. Every send/receive event goes to
-//! the fabric's shared [`CountingRecorder`] (which backs the
-//! [`crate::FabricStats`] accessors) and, when one is attached via
-//! [`crate::Transport::set_recorder`], to the external recorder with
-//! per-message latency.
+//! Each endpoint owns one [`MsgObs`]. Every send/receive event is
+//! counted into the fabric's shared [`FabricStats`] and, when one is
+//! attached via [`crate::Transport::set_recorder`], forwarded to the
+//! external recorder with per-message latency.
 
 use std::sync::Arc;
 
-use panda_obs::{CountingRecorder, Event, Recorder};
+use panda_obs::{Event, Recorder};
+
+use crate::stats::FabricStats;
 
 /// Observability state of one endpoint.
 #[derive(Debug)]
 pub(crate) struct MsgObs {
     /// This endpoint's fabric rank.
     node: u32,
-    /// Shared per-fabric counters backing [`crate::FabricStats`].
-    counting: Arc<CountingRecorder>,
+    /// The fabric's shared counters.
+    stats: Arc<FabricStats>,
     /// Externally attached recorder (null unless installed).
     external: Arc<dyn Recorder>,
 }
 
 impl MsgObs {
-    /// State for rank `node` counting into `counting`.
-    pub(crate) fn new(node: u32, counting: Arc<CountingRecorder>) -> Self {
+    /// State for rank `node` counting into `stats`.
+    pub(crate) fn new(node: u32, stats: Arc<FabricStats>) -> Self {
         MsgObs {
             node,
-            counting,
+            stats,
             external: panda_obs::null_recorder(),
         }
     }
@@ -42,9 +43,9 @@ impl MsgObs {
         self.external.enabled()
     }
 
-    /// Fan one event out to counters and the external recorder.
+    /// Count one event and forward it to the external recorder.
     pub(crate) fn emit(&self, event: &Event<'_>) {
-        self.counting.record(self.node, event);
+        self.stats.record(event);
         if self.external.enabled() {
             self.external.record(self.node, event);
         }

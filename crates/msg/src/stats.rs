@@ -5,120 +5,97 @@
 //! and the model-validation tests check the real runtime against the
 //! message counts the performance model assumes.
 //!
-//! Since the unified observability layer landed, [`FabricStats`] is a
-//! thin read adapter over a [`panda_obs::CountingRecorder`]: transports
-//! report [`panda_obs::Event::MsgSent`] / [`panda_obs::Event::MsgReceived`]
-//! events
-//! and this type merely projects the familiar counter names out of
-//! them. The accessor API is unchanged.
+//! [`FabricStats`] is a set of plain relaxed counters owned by the
+//! fabric. Transports report [`panda_obs::Event::MsgSent`] /
+//! [`panda_obs::Event::MsgReceived`] events, and each endpoint's
+//! observability bridge bumps these counters from them whatever
+//! recorder is attached: two relaxed adds per message, plus a
+//! lock-free tag-slot probe and two more adds per send.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use panda_obs::{CountingRecorder, EventKind};
+use panda_obs::{Event, TagStats, TagTable};
 
-/// Shared counters for one fabric, projected from the fabric's event
-/// stream. All counters are monotone — they are diagnostics, not
-/// synchronization.
+/// Shared counters for one fabric. All counters are monotone — they
+/// are diagnostics, not synchronization.
 ///
 /// Per-tag send counts let higher layers cross-validate against the
 /// performance model: the model's predicted data/control message counts
 /// must equal the real fabric's per-tag counts for the same collective.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FabricStats {
-    counting: Arc<CountingRecorder>,
-}
-
-/// Message/byte counts for one tag.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TagCounts {
-    /// Messages sent with this tag.
-    pub msgs: u64,
-    /// Payload bytes sent with this tag.
-    pub bytes: u64,
-}
-
-impl Default for FabricStats {
-    fn default() -> Self {
-        Self::new()
-    }
+    msgs_sent: AtomicU64,
+    bytes_sent: AtomicU64,
+    msgs_received: AtomicU64,
+    bytes_received: AtomicU64,
+    tags: TagTable,
 }
 
 impl FabricStats {
-    /// Fresh zeroed counters over a private recorder.
+    /// Fresh zeroed counters.
     pub fn new() -> Self {
-        Self::over(Arc::new(CountingRecorder::new()))
+        Self::default()
     }
 
-    /// An adapter reading from `counting`.
-    pub fn over(counting: Arc<CountingRecorder>) -> Self {
-        FabricStats { counting }
-    }
-
-    /// The event counters this adapter projects from.
-    pub fn recorder(&self) -> &Arc<CountingRecorder> {
-        &self.counting
+    /// Count one transport event; other events are ignored.
+    pub(crate) fn record(&self, event: &Event<'_>) {
+        match *event {
+            Event::MsgSent { tag, bytes, .. } => {
+                self.msgs_sent.fetch_add(1, Ordering::Relaxed);
+                self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
+                self.tags.add(tag, bytes);
+            }
+            Event::MsgReceived { bytes, .. } => {
+                self.msgs_received.fetch_add(1, Ordering::Relaxed);
+                self.bytes_received.fetch_add(bytes, Ordering::Relaxed);
+            }
+            _ => {}
+        }
     }
 
     /// Total messages sent through the fabric.
     pub fn msgs_sent(&self) -> u64 {
-        self.counting.count(EventKind::MsgSent)
+        self.msgs_sent.load(Ordering::Relaxed)
     }
 
     /// Total payload bytes sent.
     pub fn bytes_sent(&self) -> u64 {
-        self.counting.bytes(EventKind::MsgSent)
+        self.bytes_sent.load(Ordering::Relaxed)
     }
 
     /// Total messages delivered to receivers.
     pub fn msgs_received(&self) -> u64 {
-        self.counting.count(EventKind::MsgReceived)
+        self.msgs_received.load(Ordering::Relaxed)
     }
 
     /// Total payload bytes delivered.
     pub fn bytes_received(&self) -> u64 {
-        self.counting.bytes(EventKind::MsgReceived)
+        self.bytes_received.load(Ordering::Relaxed)
     }
 
     /// Send counts for one tag (zero if the tag was never used).
-    pub fn tag_counts(&self, tag: u32) -> TagCounts {
-        let (msgs, bytes) = self.counting.tag_counts(tag);
-        TagCounts { msgs, bytes }
+    pub fn tag_counts(&self, tag: u32) -> TagStats {
+        self.tags.get(tag)
     }
 
     /// All tags seen so far, with their counts, sorted by tag.
-    pub fn all_tag_counts(&self) -> Vec<(u32, TagCounts)> {
-        self.counting
-            .all_tag_counts()
-            .into_iter()
-            .map(|t| {
-                (
-                    t.tag,
-                    TagCounts {
-                        msgs: t.msgs,
-                        bytes: t.bytes,
-                    },
-                )
-            })
-            .collect()
+    pub fn all_tag_counts(&self) -> Vec<TagStats> {
+        self.tags.counts()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use panda_obs::{Event, Recorder};
     use std::time::Duration;
 
     fn send(s: &FabricStats, tag: u32, bytes: u64) {
-        s.recorder().record(
-            0,
-            &Event::MsgSent {
-                to: 1,
-                tag,
-                bytes,
-                dur: Duration::ZERO,
-            },
-        );
+        s.record(&Event::MsgSent {
+            to: 1,
+            tag,
+            bytes,
+            dur: Duration::ZERO,
+        });
     }
 
     #[test]
@@ -126,15 +103,12 @@ mod tests {
         let s = FabricStats::new();
         send(&s, 1, 10);
         send(&s, 2, 5);
-        s.recorder().record(
-            1,
-            &Event::MsgReceived {
-                from: 0,
-                tag: 1,
-                bytes: 10,
-                wait: Duration::ZERO,
-            },
-        );
+        s.record(&Event::MsgReceived {
+            from: 0,
+            tag: 1,
+            bytes: 10,
+            wait: Duration::ZERO,
+        });
         assert_eq!(s.msgs_sent(), 2);
         assert_eq!(s.bytes_sent(), 15);
         assert_eq!(s.msgs_received(), 1);
@@ -147,17 +121,15 @@ mod tests {
         send(&s, 3, 100);
         send(&s, 3, 50);
         send(&s, 7, 1);
-        assert_eq!(
-            s.tag_counts(3),
-            TagCounts {
-                msgs: 2,
-                bytes: 150
-            }
-        );
-        assert_eq!(s.tag_counts(7), TagCounts { msgs: 1, bytes: 1 });
-        assert_eq!(s.tag_counts(99), TagCounts::default());
+        let counts = |tag| {
+            let t = s.tag_counts(tag);
+            (t.msgs, t.bytes)
+        };
+        assert_eq!(counts(3), (2, 150));
+        assert_eq!(counts(7), (1, 1));
+        assert_eq!(counts(99), (0, 0));
         let all = s.all_tag_counts();
         assert_eq!(all.len(), 2);
-        assert_eq!(all[0].0, 3);
+        assert_eq!(all[0].tag, 3);
     }
 }

@@ -118,7 +118,7 @@ impl TcpEndpoint {
             rx,
             self_tx: tx,
             pending: VecDeque::new(),
-            obs: MsgObs::new(rank as u32, Arc::clone(stats.recorder())),
+            obs: MsgObs::new(rank as u32, Arc::clone(&stats)),
             stats,
             recv_timeout,
         })

@@ -17,19 +17,22 @@
 //!   ([`FlightRecorder::with_slo`]).
 //!
 //! Dumps are capped ([`FlightRecorder::with_max_dumps`]) so a reject
-//! storm cannot fill the disk; [`FlightRecorder::dump_now`] bypasses
-//! the cap for operator-initiated captures.
+//! storm cannot fill the disk: each automatic dump claims its slot
+//! atomically before it writes, so concurrent incidents cannot overrun
+//! the cap. [`FlightRecorder::dump_now`] bypasses the cap for
+//! operator-initiated captures. The ring is the same `EventRing` a
+//! [`TimelineRecorder`](crate::TimelineRecorder) keeps; this recorder
+//! adds only the dump policy and aggregates nothing.
 
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::event::{Event, EventKind};
 use crate::recorder::Recorder;
-use crate::timeline::{chrome_trace, TimelineEvent};
+use crate::timeline::{chrome_trace, EventRing, TimelineEvent};
 
 /// Default ring capacity (events) of a [`FlightRecorder`].
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
@@ -40,13 +43,12 @@ pub const DEFAULT_MAX_DUMPS: usize = 8;
 /// See the module docs.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    epoch: Instant,
-    capacity: usize,
-    ring: Mutex<VecDeque<TimelineEvent>>,
-    dropped: AtomicU64,
+    ring: EventRing,
     dir: PathBuf,
     slo: Option<Duration>,
     max_dumps: usize,
+    /// Automatic dump slots claimed so far (never above `max_dumps`).
+    auto_dumps: AtomicUsize,
     dump_seq: AtomicU64,
     dumps: Mutex<Vec<PathBuf>>,
 }
@@ -57,13 +59,11 @@ impl FlightRecorder {
     /// default dump cap.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         FlightRecorder {
-            epoch: Instant::now(),
-            capacity: DEFAULT_FLIGHT_CAPACITY,
-            ring: Mutex::new(VecDeque::new()),
-            dropped: AtomicU64::new(0),
+            ring: EventRing::new(DEFAULT_FLIGHT_CAPACITY),
             dir: dir.into(),
             slo: None,
             max_dumps: DEFAULT_MAX_DUMPS,
+            auto_dumps: AtomicUsize::new(0),
             dump_seq: AtomicU64::new(0),
             dumps: Mutex::new(Vec::new()),
         }
@@ -71,7 +71,7 @@ impl FlightRecorder {
 
     /// Retain at most `capacity` events (min 1).
     pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity.max(1);
+        self.ring = EventRing::new(capacity);
         self
     }
 
@@ -108,7 +108,7 @@ impl FlightRecorder {
     /// path. `None` if the directory or file could not be written (the
     /// recorder never panics on the record path).
     pub fn dump_now(&self, reason: &str) -> Option<PathBuf> {
-        let events: Vec<TimelineEvent> = self.ring.lock().iter().cloned().collect();
+        let events = self.ring.events();
         let seq = self.dump_seq.fetch_add(1, Ordering::Relaxed);
         let safe: String = reason
             .chars()
@@ -141,29 +141,28 @@ impl FlightRecorder {
 
 impl Recorder for FlightRecorder {
     fn record(&self, node: u32, event: &Event<'_>) {
-        let ts_nanos = self.epoch.elapsed().as_nanos() as u64;
-        let flat = TimelineEvent::from_event(ts_nanos, node, event);
-        {
-            let mut ring = self.ring.lock();
-            if ring.len() == self.capacity {
-                ring.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            ring.push_back(flat);
-        }
-        if let Some(reason) = self.incident(event) {
-            if self.dumps.lock().len() < self.max_dumps {
-                self.dump_now(reason);
-            }
+        self.ring.push(node, event);
+        let Some(reason) = self.incident(event) else {
+            return;
+        };
+        // Claim a slot before writing, so racing incidents cannot all
+        // pass the cap check while the first dump is still being written.
+        let claimed = self
+            .auto_dumps
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < self.max_dumps).then_some(n + 1)
+            });
+        if claimed.is_ok() {
+            self.dump_now(reason);
         }
     }
 
     fn timeline(&self) -> Option<Vec<TimelineEvent>> {
-        Some(self.ring.lock().iter().cloned().collect())
+        Some(self.ring.events())
     }
 
     fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 }
 
@@ -242,6 +241,38 @@ mod tests {
         assert!(rec.dump_now("operator").is_some());
         assert_eq!(rec.dumps().len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_incidents_respect_the_dump_cap() {
+        // Eight simultaneous rejections race for a single automatic
+        // dump slot: exactly one may write a file. A few rounds, so a
+        // check-then-write race shows up even when one round happens
+        // to serialise.
+        for round in 0..5 {
+            let dir = temp_dir(&format!("race{round}"));
+            let rec = FlightRecorder::new(&dir).with_max_dumps(1);
+            let start = std::sync::Barrier::new(8);
+            std::thread::scope(|scope| {
+                for t in 0..8u64 {
+                    let (rec, start) = (&rec, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        rec.record(
+                            4,
+                            &Event::AdmissionReject {
+                                request: ((t + 1) << 32) | 1,
+                                queued: 1,
+                                live: 1,
+                            },
+                        );
+                    });
+                }
+            });
+            assert_eq!(rec.dumps().len(), 1, "round {round}");
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

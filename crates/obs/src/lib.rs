@@ -14,29 +14,31 @@
 //!   time.
 //! * [`Recorder`] — the sink trait. Implementations:
 //!   * [`NullRecorder`] — does nothing; `enabled()` returns `false` so
-//!     call sites skip clock reads entirely (zero cost when disabled);
-//!   * [`CountingRecorder`] — lock-free per-kind atomic counters plus
-//!     log₂ latency histograms; the backing store behind the
-//!     `panda_fs::IoStats` / `panda_msg::FabricStats` aggregate views;
-//!   * [`TimelineRecorder`] — a bounded per-event ring buffer that
+//!     call sites skip clock reads and recording;
+//!   * [`MetricsHub`] — the one aggregator: lock-free sharded per-kind
+//!     counters with log₂ latency histograms, per-phase cost-line
+//!     moments, the fs sequential/seek tally, per-tag send counts and
+//!     per-tenant ledgers, snapshotted on demand into a
+//!     [`MetricsSnapshot`] (also named [`CountersSnapshot`]) with
+//!     Prometheus text exposition;
+//!   * [`TimelineRecorder`] — the one event ring plus an embedded hub:
 //!     exports a Chrome `trace_event` JSON trace and feeds the
-//!     per-subchunk phase decomposition.
+//!     per-subchunk phase decomposition;
+//!   * [`FlightRecorder`] — the same ring, always on, plus a dump
+//!     policy: it writes a Chrome trace automatically on admission
+//!     rejections, request errors, or SLO-breaching collectives;
+//!   * [`FanoutRecorder`] — forwards one event stream to several sinks
+//!     (e.g. a timeline for calibration plus a hub for scraping).
 //! * [`RunReport`] — aggregates any recorder into one machine-readable
 //!   JSON run report: phase totals (exchange / disk / reorganization /
 //!   throttle), per-node phase sums, per-kind counters, and — with a
 //!   timeline — per-subchunk phase durations.
 //!
-//! The *live* telemetry plane builds on the same event stream:
-//!
-//! * [`MetricsHub`] — lock-free sharded counters, per-phase cost-line
-//!   moments, log₂ latency histograms, and per-tenant ledgers,
-//!   snapshotted on demand into a [`MetricsSnapshot`] with p50/p95/p99
-//!   derivation and Prometheus text exposition;
-//! * [`FlightRecorder`] — an always-on bounded ring that dumps a Chrome
-//!   trace automatically on admission rejections, request errors, or
-//!   SLO-breaching collectives;
-//! * [`FanoutRecorder`] — forwards one event stream to several sinks
-//!   (e.g. a timeline for calibration plus a hub for scraping).
+//! A snapshot's counters are each monotone and exact once recording
+//! stops, but a snapshot is not a cut across kinds; the [`hub`] module
+//! docs state the contract. The `panda_fs::IoStats` and
+//! `panda_msg::FabricStats` views are not recorders: they are plain
+//! relaxed counters their backend or fabric bumps on every access.
 //!
 //! The crate has no dependency on the rest of the workspace; `panda-msg`,
 //! `panda-fs`, and `panda-core` all depend on it and report through the
@@ -45,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod calibrate;
-pub mod counting;
 pub mod event;
 pub mod flight;
 pub mod hub;
@@ -55,10 +56,12 @@ pub mod report;
 pub mod timeline;
 
 pub use calibrate::{CalibrationSummary, PhaseStats, CALIBRATION_SCHEMA};
-pub use counting::{CountersSnapshot, CountingRecorder, KindStats, TagStats};
 pub use event::{Event, EventKind, OpDir, Phase, SubchunkKey, KIND_COUNT};
 pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY, DEFAULT_MAX_DUMPS};
-pub use hub::{tenant_of, KindCounter, MetricsHub, MetricsSnapshot, PhaseMetrics, TenantMetrics};
+pub use hub::{
+    tenant_of, CountersSnapshot, KindStats, MetricsHub, MetricsSnapshot, PhaseMetrics, TagStats,
+    TagTable, TenantMetrics,
+};
 pub use recorder::{null_recorder, FanoutRecorder, NullRecorder, Recorder};
 pub use report::{NodePhases, PhaseTotals, RunReport, SubchunkPhases, REPORT_SCHEMA};
 pub use timeline::{chrome_trace, TimelineEvent, TimelineRecorder, DEFAULT_TIMELINE_CAPACITY};

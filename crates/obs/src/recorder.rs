@@ -3,9 +3,8 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use crate::counting::CountersSnapshot;
 use crate::event::Event;
-use crate::hub::MetricsSnapshot;
+use crate::hub::{CountersSnapshot, MetricsSnapshot};
 use crate::timeline::TimelineEvent;
 
 /// A sink for instrumentation events.
@@ -15,13 +14,18 @@ use crate::timeline::TimelineEvent;
 /// trait. `node` is the reporter's global fabric rank (clients
 /// `0..C`, servers `C..C+S`); layers that have no rank report `0`.
 ///
-/// # Zero cost when disabled
+/// # Cost when disabled
 ///
 /// Emitting an event usually requires reading the clock (to measure a
 /// duration) and building an [`Event`]. Call sites MUST gate that work
-/// on [`Recorder::enabled`]; [`NullRecorder`] returns `false` so a
-/// non-instrumented run performs no clock reads and no event
-/// construction on the hot path.
+/// on [`Recorder::enabled`]; [`NullRecorder`] returns `false`, so a
+/// non-instrumented run reads no clock and records nothing. One cost
+/// remains by design: each file-system backend and each fabric keeps
+/// its own `IoStats` / `FabricStats` counters, which it bumps on every
+/// access whatever recorder is attached. That is two or three relaxed
+/// adds per fs call and two per message, plus a lock-free tag-slot
+/// probe and two more adds per send — no lock, no clock read, no
+/// histogram.
 pub trait Recorder: fmt::Debug + Send + Sync {
     /// Whether events should be constructed and durations measured at
     /// all. Hot paths check this before doing any instrumentation work.

@@ -3,8 +3,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::counting::CountersSnapshot;
 use crate::event::{EventKind, Phase, SubchunkKey};
+use crate::hub::CountersSnapshot;
 use crate::json;
 use crate::recorder::Recorder;
 use crate::timeline::TimelineEvent;
@@ -94,10 +94,10 @@ pub struct RunReport {
 
 impl RunReport {
     /// Aggregate `recorder` into a report. Works with any recorder: a
-    /// [`crate::CountingRecorder`] yields phase totals and counters, a
-    /// [`crate::TimelineRecorder`] additionally yields wall span and
-    /// per-node / per-subchunk decompositions, a
-    /// [`crate::NullRecorder`] yields an empty report.
+    /// [`crate::TimelineRecorder`] yields phase totals and counters from
+    /// its embedded hub plus wall span and per-node / per-subchunk
+    /// decompositions from its ring, a [`crate::NullRecorder`] yields an
+    /// empty report.
     pub fn from_recorder(recorder: &dyn Recorder) -> RunReport {
         let counters = recorder.counters();
         let timeline = recorder.timeline();
@@ -266,11 +266,11 @@ impl RunReport {
                 out.push_str(",\"bytes\":");
                 out.push_str(&k.bytes.to_string());
                 out.push_str(",\"secs\":");
-                json::push_f64(&mut out, k.secs);
+                json::push_f64(&mut out, k.secs());
                 out.push_str(",\"p50_s\":");
-                json::push_f64(&mut out, k.p50_secs);
+                json::push_f64(&mut out, k.quantile(0.50));
                 out.push_str(",\"p99_s\":");
-                json::push_f64(&mut out, k.p99_secs);
+                json::push_f64(&mut out, k.quantile(0.99));
                 out.push('}');
             }
             out.push_str("],\"tags\":[");

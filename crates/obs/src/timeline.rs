@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::counting::{CountersSnapshot, CountingRecorder};
 use crate::event::{Event, EventKind, SubchunkKey};
+use crate::hub::{CountersSnapshot, MetricsHub};
 use crate::json;
 use crate::recorder::Recorder;
 
@@ -52,7 +52,7 @@ impl TimelineEvent {
     /// Flatten a borrowed [`Event`] into an owned record, stamping its
     /// end time as `elapsed` nanoseconds since the caller's epoch. This
     /// is the one place event fields are projected into storage form —
-    /// shared by [`TimelineRecorder`] and the flight recorder.
+    /// used by the event ring behind both recorders.
     pub fn from_event(ts_nanos: u64, node: u32, event: &Event<'_>) -> Self {
         TimelineEvent {
             ts_nanos,
@@ -147,16 +147,59 @@ pub fn chrome_trace(events: &[TimelineEvent]) -> String {
     out
 }
 
-/// A [`Recorder`] that keeps every event in a bounded ring buffer (oldest
-/// events are dropped on overflow and tallied in [`Recorder::dropped`])
-/// and aggregates counters through an embedded [`CountingRecorder`].
+/// A bounded ring of flattened events, stamped against its own epoch:
+/// the oldest event is dropped on overflow and tallied. The one event
+/// buffer behind [`TimelineRecorder`] and [`crate::FlightRecorder`].
 #[derive(Debug)]
-pub struct TimelineRecorder {
+pub(crate) struct EventRing {
     epoch: Instant,
     capacity: usize,
-    ring: Mutex<VecDeque<TimelineEvent>>,
+    events: Mutex<VecDeque<TimelineEvent>>,
     dropped: AtomicU64,
-    counters: CountingRecorder,
+}
+
+impl EventRing {
+    /// A ring holding at most `capacity` events (min 1).
+    pub(crate) fn new(capacity: usize) -> Self {
+        EventRing {
+            epoch: Instant::now(),
+            capacity: capacity.max(1),
+            events: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 4096))),
+            dropped: AtomicU64::new(0),
+        }
+    }
+
+    /// Stamp and append one event, evicting the oldest when full.
+    pub(crate) fn push(&self, node: u32, event: &Event<'_>) {
+        let ts_nanos = self.epoch.elapsed().as_nanos() as u64;
+        let flat = TimelineEvent::from_event(ts_nanos, node, event);
+        let mut events = self.events.lock();
+        if events.len() == self.capacity {
+            events.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        events.push_back(flat);
+    }
+
+    /// The retained events, oldest first.
+    pub(crate) fn events(&self) -> Vec<TimelineEvent> {
+        self.events.lock().iter().cloned().collect()
+    }
+
+    /// Events evicted so far.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+}
+
+/// A [`Recorder`] that keeps every event in a bounded event ring
+/// (oldest events are dropped on overflow and tallied in
+/// [`Recorder::dropped`]) and aggregates counters in an embedded
+/// [`MetricsHub`], exposed through [`Recorder::counters`].
+#[derive(Debug)]
+pub struct TimelineRecorder {
+    ring: EventRing,
+    hub: MetricsHub,
 }
 
 impl Default for TimelineRecorder {
@@ -174,65 +217,49 @@ impl TimelineRecorder {
     /// A recorder whose ring holds at most `capacity` events.
     pub fn with_capacity(capacity: usize) -> Self {
         TimelineRecorder {
-            epoch: Instant::now(),
-            capacity: capacity.max(1),
-            ring: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 4096))),
-            dropped: AtomicU64::new(0),
-            counters: CountingRecorder::new(),
+            ring: EventRing::new(capacity),
+            hub: MetricsHub::new(),
         }
     }
 
     /// The instant timestamps are measured from.
     pub fn epoch(&self) -> Instant {
-        self.epoch
+        self.ring.epoch
     }
 
     /// Number of events currently held.
     pub fn len(&self) -> usize {
-        self.ring.lock().len()
+        self.ring.events.lock().len()
     }
 
     /// Whether no events have been retained.
     pub fn is_empty(&self) -> bool {
-        self.ring.lock().is_empty()
-    }
-
-    /// The embedded aggregate counters.
-    pub fn counting(&self) -> &CountingRecorder {
-        &self.counters
+        self.len() == 0
     }
 
     /// Serialize the retained events as a Chrome `trace_event` JSON
     /// document via [`chrome_trace`].
     pub fn to_chrome_trace(&self) -> String {
-        let events: Vec<TimelineEvent> = self.ring.lock().iter().cloned().collect();
-        chrome_trace(&events)
+        chrome_trace(&self.ring.events())
     }
 }
 
 impl Recorder for TimelineRecorder {
     fn record(&self, node: u32, event: &Event<'_>) {
-        self.counters.record(node, event);
-        let ts_nanos = self.epoch.elapsed().as_nanos() as u64;
-        let flat = TimelineEvent::from_event(ts_nanos, node, event);
-        let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(flat);
+        self.hub.record(node, event);
+        self.ring.push(node, event);
     }
 
     fn counters(&self) -> Option<CountersSnapshot> {
-        self.counters.counters()
+        Some(self.hub.snapshot())
     }
 
     fn timeline(&self) -> Option<Vec<TimelineEvent>> {
-        Some(self.ring.lock().iter().cloned().collect())
+        Some(self.ring.events())
     }
 
     fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 }
 
@@ -287,7 +314,10 @@ mod tests {
         assert_eq!(tl[2].sequential, Some(true));
         assert_eq!(rec.dropped(), 0);
         // Counters aggregate alongside the ring.
-        assert_eq!(rec.counting().count(EventKind::FetchReplied), 1);
+        assert_eq!(
+            rec.counters().unwrap().kind(EventKind::FetchReplied).count,
+            1
+        );
     }
 
     #[test]
@@ -300,7 +330,10 @@ mod tests {
         // The RequestIssued instant was the oldest and got evicted.
         assert_eq!(tl[0].kind, EventKind::FetchReplied);
         // Counters still saw all three events.
-        assert_eq!(rec.counting().count(EventKind::RequestIssued), 1);
+        assert_eq!(
+            rec.counters().unwrap().kind(EventKind::RequestIssued).count,
+            1
+        );
     }
 
     #[test]
@@ -383,7 +416,13 @@ mod tests {
         assert!(trace.contains(&format!("\"request\":{req_a}")));
         assert!(trace.contains(&format!("\"request\":{req_b}")));
         // Counters still saw the full stream even though the ring wrapped.
-        assert_eq!(rec.counting().count(EventKind::DiskWriteQueued), 20);
+        assert_eq!(
+            rec.counters()
+                .unwrap()
+                .kind(EventKind::DiskWriteQueued)
+                .count,
+            20
+        );
     }
 
     #[test]
