@@ -140,4 +140,18 @@ PY
 fi
 rm -f "$obsplane_out"
 
+# Repository benchmark: the gate's own self-test, then a short
+# `exchange_fine` run. The benchmark checks every read-back against what
+# was written and ends with one JSON line; the gate is its
+# `"correct": true`.
+step "perfbench self-test" 600 cargo test -q --offline --manifest-path perfbench/Cargo.toml
+fine_out=$(mktemp /tmp/panda_fine_ci.XXXXXX.txt)
+step "exchange_fine smoke" 300 sh -c 'cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --workload exchange_fine --seed 1 --seconds 2 --trace 0 > "$1"' sh "$fine_out"
+if ! tail -n 1 "$fine_out" | grep -q '"correct": true'; then
+  echo "ci: exchange_fine smoke did not report \"correct\": true" >&2
+  tail -n 1 "$fine_out" >&2
+  exit 1
+fi
+rm -f "$fine_out"
+
 echo "ci: all green"

@@ -134,7 +134,13 @@ pub struct ServerHealth {
     pub queued: usize,
     /// Collectives currently live.
     pub live: usize,
-    /// Subchunks in flight in the pinned disk stage.
+    /// Disk commands issued and not yet completed (subchunk writes and
+    /// reads, plus a request's close). A command counts whichever
+    /// thread applies it: the pinned disk task, or the scheduler itself
+    /// when the command moves fewer bytes than the 128 KiB grain and the
+    /// device last answered faster than a hand-off to the task. An
+    /// inline command completes within the scheduler pass that issued
+    /// it, so a fast device shows a backlog near zero.
     pub disk_backlog: usize,
     /// Admission rejections since launch.
     pub rejected: u64,

@@ -9,6 +9,13 @@
 //! from [`PandaConfig::io_workers`](crate::PandaConfig::io_workers) and
 //! routes both kinds of work through it.
 //!
+//! A hand-off is not free: the scheduler queues the job, wakes a worker
+//! and blocks on a latch until it reports back, which on a small
+//! machine costs tens of microseconds — more than a 16 KiB copy. So a
+//! burst smaller than `GRAIN_BYTES` (128 KiB in total) runs whole on
+//! the caller, and only bursts above the grain are spread over the
+//! workers.
+//!
 //! Two properties keep the pool deadlock-free:
 //!
 //! * work is only queued against a *reservation* of an idle worker
@@ -30,9 +37,13 @@ use panda_schema::{copy, Region, SchemaError};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Only split a pack into per-worker bands once it is big enough that
-/// the copy dwarfs the dispatch overhead (two mutex hops per band).
-const PAR_PACK_MIN_BYTES: usize = 128 * 1024;
+/// The I/O node's one hand-off grain: work of fewer bytes runs on the
+/// thread that has it, because waking another thread (two mutex hops
+/// and a futex wake per job) costs more than the copy or device call.
+/// Bursts below it stay inline in [`IoPool::run_scoped`], packs below it
+/// stay serial in [`IoPool::pack_region_par`], and the server's disk
+/// stage applies fast commands below it on the scheduler.
+pub(crate) const GRAIN_BYTES: usize = 128 * 1024;
 
 struct State {
     jobs: VecDeque<Job>,
@@ -134,10 +145,12 @@ impl IoPool {
 
     /// Fork-join: run every job, spreading them over currently idle
     /// workers and executing the rest inline on the caller, and return
-    /// only when all of them have finished. If any job panicked the
-    /// first panic is re-raised here — after the barrier, so borrowed
-    /// data never outlives a still-running worker.
-    pub fn run_scoped<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
+    /// only when all of them have finished. `bytes` is the burst's total
+    /// payload: below `GRAIN_BYTES` no worker is woken and the whole
+    /// burst runs on the caller. If any job panicked the first panic is
+    /// re-raised here — after the barrier, so borrowed data never
+    /// outlives a still-running worker.
+    pub fn run_scoped<'scope>(&self, bytes: usize, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         if jobs.is_empty() {
             return;
         }
@@ -146,7 +159,7 @@ impl IoPool {
             Arc::new(Mutex::new(None));
         let mut inline = Vec::new();
         for job in jobs {
-            if !self.try_reserve() {
+            if bytes < GRAIN_BYTES || !self.try_reserve() {
                 inline.push(job);
                 continue;
             }
@@ -194,6 +207,7 @@ impl IoPool {
     /// stages all funnel their copy bursts through here.
     pub fn run_scoped_result<'scope, E: Send + 'scope>(
         &self,
+        bytes: usize,
         jobs: Vec<Box<dyn FnOnce() -> Result<(), E> + Send + 'scope>>,
     ) -> Result<(), E> {
         let error: Mutex<Option<E>> = Mutex::new(None);
@@ -208,7 +222,7 @@ impl IoPool {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        self.run_scoped(wrapped);
+        self.run_scoped(bytes, wrapped);
         match error.into_inner().unwrap() {
             Some(e) => Err(e),
             None => Ok(()),
@@ -233,7 +247,7 @@ impl IoPool {
         let total = sub.num_bytes(elem_size);
         let rows = if sub.rank() == 0 { 1 } else { sub.extent(0) };
         let bands = self.workers().min(rows);
-        if total < PAR_PACK_MIN_BYTES || bands < 2 {
+        if total < GRAIN_BYTES || bands < 2 {
             return copy::pack_region_into(out, src, src_region, sub, elem_size);
         }
         out.clear();
@@ -259,7 +273,7 @@ impl IoPool {
                 copy::copy_region(src, src_region, slab, &band, &band, elem_size).map(|_| ())
             }));
         }
-        self.run_scoped_result(jobs)
+        self.run_scoped_result(total, jobs)
     }
 }
 
@@ -342,7 +356,7 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        pool.run_scoped(jobs);
+        pool.run_scoped(GRAIN_BYTES, jobs);
         assert_eq!(hits.load(Ordering::SeqCst), 20);
     }
 
@@ -365,13 +379,44 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        pool.run_scoped(jobs);
+        pool.run_scoped(GRAIN_BYTES, jobs);
         let ids = ran_on.lock().unwrap();
         assert_eq!(ids.len(), 4);
         assert!(ids.iter().all(|&id| id == me), "expected inline fallback");
         drop(ids);
         gate_tx.send(()).unwrap();
         assert_eq!(pinned.join().unwrap(), 7);
+    }
+
+    #[test]
+    fn bursts_below_the_grain_never_leave_the_caller() {
+        let pool = IoPool::new(2);
+        let me = thread::current().id();
+        let run = |bytes: usize| {
+            let ran_on = Mutex::new(Vec::new());
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
+                .map(|_| {
+                    let ran_on = &ran_on;
+                    Box::new(move || {
+                        ran_on.lock().unwrap().push(thread::current().id());
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            pool.run_scoped(bytes, jobs);
+            ran_on.into_inner().unwrap()
+        };
+        // Both workers are idle, yet a sub-grain burst wakes neither.
+        let small = run(GRAIN_BYTES - 1);
+        assert_eq!(small.len(), 4);
+        assert!(
+            small.iter().all(|&id| id == me),
+            "sub-grain job left the caller"
+        );
+        // At the grain the same burst is spread: the first job is queued
+        // against an idle worker's reservation, so it cannot run here.
+        let big = run(GRAIN_BYTES);
+        assert_eq!(big.len(), 4);
+        assert!(big.iter().any(|&id| id != me), "no job reached a worker");
     }
 
     #[test]
@@ -403,7 +448,7 @@ mod tests {
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
-            pool.run_scoped(jobs);
+            pool.run_scoped(GRAIN_BYTES, jobs);
         }));
         assert!(result.is_err());
         assert_eq!(finished.load(Ordering::SeqCst), 5);
@@ -426,14 +471,14 @@ mod tests {
                 }) as Box<dyn FnOnce() -> Result<(), i32> + Send + '_>
             })
             .collect();
-        assert_eq!(pool.run_scoped_result(jobs), Err(3));
+        assert_eq!(pool.run_scoped_result(GRAIN_BYTES, jobs), Err(3));
         // The barrier holds for fallible jobs too: an error does not
         // cancel the rest of the burst.
         assert_eq!(finished.load(Ordering::SeqCst), 6);
         let ok: Vec<Box<dyn FnOnce() -> Result<(), i32> + Send + '_>> = (0..2)
             .map(|_| Box::new(|| Ok(())) as Box<dyn FnOnce() -> Result<(), i32> + Send + '_>)
             .collect();
-        assert_eq!(pool.run_scoped_result(ok), Ok(()));
+        assert_eq!(pool.run_scoped_result(GRAIN_BYTES, ok), Ok(()));
     }
 
     #[test]
@@ -445,11 +490,11 @@ mod tests {
         for (i, b) in src.iter_mut().enumerate() {
             *b = (i * 31 % 251) as u8;
         }
-        // Big enough to split (> PAR_PACK_MIN_BYTES) and deliberately
+        // Big enough to split (> GRAIN_BYTES) and deliberately
         // not row-aligned with the band count.
         let sub = Region::new(&[3, 5], &[197, 117]).unwrap();
         let expect = copy::pack_region(&src, &enclosing, &sub, elem).unwrap();
-        assert!(expect.len() >= PAR_PACK_MIN_BYTES);
+        assert!(expect.len() >= GRAIN_BYTES);
         let mut got = Vec::new();
         pool.pack_region_par(&mut got, &src, &enclosing, &sub, elem)
             .unwrap();

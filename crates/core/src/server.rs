@@ -8,28 +8,43 @@
 //! `RequestRun` state machine. One pass of the loop
 //!
 //! 1. **pumps** every live run (priority order, round-robin within a
-//!    priority): issuing fetches, assembling reply bursts on the
-//!    [`IoPool`], queueing completed subchunks to the disk task,
-//!    scattering prefetched read buffers;
+//!    priority): issuing fetches, assembling reply bursts, issuing
+//!    completed subchunks to the disk stage, scattering prefetched read
+//!    buffers;
 //! 2. **drains the transport** without blocking, routing `Data` replies
 //!    to their run by the request id they echo, admitting new
 //!    collectives, and serving the baseline raw plane;
 //! 3. **drains disk completions** (recycled write buffers, filled read
-//!    buffers, close acknowledgements) from the shared disk task;
+//!    buffers, close acknowledgements) from the disk stage;
 //! 4. blocks only when nothing progressed — on the disk channel when
 //!    disk work is outstanding, on the transport otherwise.
 //!
-//! The **pinned disk task** is spawned once per server and serves every
-//! request: it keeps a per-request file table and processes
-//! `DiskCmd`s strictly in arrival order, which interleaves requests
-//! at subchunk granularity while preserving each request's per-file
-//! FIFO — so every file is still written/read in exactly the serial
-//! schedule's order and files stay byte-identical at any depth and any
-//! concurrency. Write submission uses the `depth - 1` completion
-//! window per request, and fsync placement honours each request's own
-//! [`SyncPolicy`] (per write, per file as its last step lands, or one
-//! coalesced barrier at the request's close) — per-request fsync
-//! accounting, not fleet-global.
+//! The **disk stage** is created once per server and serves every
+//! request: it keeps a per-request file table and applies `DiskCmd`s
+//! strictly in issue order, which interleaves requests at subchunk
+//! granularity while preserving each request's per-file FIFO — so every
+//! file is still written/read in exactly the serial schedule's order
+//! and files stay byte-identical at any depth and any concurrency.
+//! Write submission uses the `depth - 1` completion window per request,
+//! and fsync placement honours each request's own [`SyncPolicy`] (per
+//! write, per file as its last step lands, or one coalesced barrier at
+//! the request's close) — per-request fsync accounting, not
+//! fleet-global.
+//!
+//! **Hand-offs.** Work moves to another thread only when it outweighs
+//! the hand-off, measured against one grain (`GRAIN_BYTES`, 128 KiB).
+//! A reorganization burst below the grain (a write batch's pending
+//! payloads, a read step's subchunk) runs on the scheduler instead of
+//! the [`IoPool`] workers. Two threads run the disk stage, a pinned disk
+//! task and the scheduler: the scheduler applies a `Write` or `Read`
+//! itself only when nothing is queued to the task (so issue order
+//! holds), the command moves fewer bytes than the grain, and this
+//! server's last measured device time is below the last measured
+//! hand-off latency (the pickup delay of a command that found the task
+//! idle). `Open`, `Close` and writes that sync always go to the task,
+//! so an fsync or a file preallocation never stalls the scheduler. The
+//! scheduler sizes read buffers itself, so buffers are allocated on one
+//! thread whichever thread fills them.
 //!
 //! **Admission** happens at the master server: a request beyond the
 //! live cap waits in a bounded queue, and a single-participant
@@ -43,8 +58,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::mem;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use panda_fs::{FileHandle, FileSystem, FsError, SyncPolicy};
@@ -55,7 +70,7 @@ use panda_schema::{copy, Region, SchemaError};
 use crate::error::{AdmissionIssue, PandaError};
 use crate::health::ServiceHealth;
 use crate::plan::{CollectiveSchedule, ScheduleStep};
-use crate::pool::IoPool;
+use crate::pool::{IoPool, GRAIN_BYTES};
 use crate::protocol::{
     recv_msg, send_data, send_msg, try_recv_msg, CollectiveRequest, Msg, OpKind,
 };
@@ -90,7 +105,7 @@ pub struct ServerNode {
     /// Number of set flags in [`ServerNode::raw_done`].
     raw_done_count: usize,
     /// Worker pool shared by the pinned disk task and the parallel
-    /// reorganization passes.
+    /// reorganization passes above the grain.
     pool: IoPool,
 }
 
@@ -103,7 +118,7 @@ fn op_dir(op: OpKind) -> OpDir {
 
 /// A subchunk being assembled inside a write run's window.
 struct InFlight {
-    /// Assembly buffer (recycled through the disk task). Empty until
+    /// Assembly buffer (recycled through the disk stage). Empty until
     /// its piece arrives for an identity step.
     buf: Vec<u8>,
     /// Pieces still missing.
@@ -128,7 +143,7 @@ struct PendingPiece {
 /// One live collective on this server: the per-request state that used
 /// to be the whole server's state. Everything here is scoped to a
 /// single request id, which is what lets N of these interleave on the
-/// shared transport, worker pool, and disk task.
+/// shared transport, worker pool, and disk stage.
 struct RequestRun {
     request: u64,
     priority: u8,
@@ -156,11 +171,11 @@ struct RequestRun {
     circulating: usize,
     /// Write direction, depth > 1: buffers allocated past the pool
     /// while every pooled one was busy. Each is dropped, not pooled,
-    /// when a buffer next comes back from the disk task.
+    /// when a buffer next comes back from the disk stage.
     overflow: usize,
     /// Drained buffers ready for reuse.
     free_bufs: Vec<Vec<u8>>,
-    /// Write commands sent to the disk task whose buffer has not been
+    /// Write commands issued to the disk stage whose buffer has not been
     /// recycled yet — the per-request disk queue bound.
     disk_queued: usize,
     /// Replies awaiting this pump's parallel assembly pass.
@@ -221,7 +236,8 @@ struct SchedState {
     rr: usize,
     /// Set by `Msg::Shutdown`; the loop exits once drained.
     draining: bool,
-    /// Disk commands awaiting a completion (`Free`/`Full`/`Closed`).
+    /// Disk commands awaiting a completion (`Buffer`/`Closed`), whichever
+    /// thread applies them.
     disk_pending: usize,
 }
 
@@ -241,9 +257,9 @@ struct OpenSpec {
     bytes: u64,
 }
 
-/// One unit of work for the shared pinned disk task. Commands of one
-/// request arrive in schedule order; commands of different requests
-/// interleave freely — the task's arrival-order processing preserves
+/// One unit of work for the disk stage. Commands of one request are
+/// issued in schedule order; commands of different requests interleave
+/// freely — the stage applies them in issue order, which preserves
 /// per-request (and hence per-file) FIFO either way.
 enum DiskCmd {
     /// Begin a request: create/open its files (preallocating written
@@ -254,7 +270,7 @@ enum DiskCmd {
         write: bool,
         sync_policy: SyncPolicy,
         /// Submitted-but-uncompleted writes allowed per request before
-        /// the task blocks on a completion (`depth - 1`).
+        /// the stage blocks on a completion (`depth - 1`).
         window: usize,
         files: Vec<OpenSpec>,
         empty_files: Vec<String>,
@@ -267,13 +283,13 @@ enum DiskCmd {
         offset: u64,
         buf: Vec<u8>,
     },
-    /// Prefetch one subchunk into `buf` (read direction).
+    /// Fill `buf`, already sized by the scheduler, with one subchunk
+    /// (read direction).
     Read {
         request: u64,
         file: usize,
         key: SubchunkKey,
         offset: u64,
-        bytes: usize,
         buf: Vec<u8>,
     },
     /// End a request: drain its in-flight writes, run its
@@ -281,17 +297,17 @@ enum DiskCmd {
     Close { request: u64 },
 }
 
-/// A completion from the disk task back to the scheduler.
+/// A completion from the disk stage back to the scheduler.
 enum DiskOut {
-    /// A write buffer finished its disk trip and can be reused.
-    Free { request: u64, buf: Vec<u8> },
-    /// A read buffer was filled and is ready to scatter.
-    Full { request: u64, buf: Vec<u8> },
+    /// A `Write`'s buffer finished its disk trip and can be reused, or
+    /// a `Read`'s buffer was filled and is ready to scatter; the run's
+    /// direction tells which.
+    Buffer { request: u64, buf: Vec<u8> },
     /// The request's disk work is fully retired (synced per policy).
     Closed { request: u64 },
 }
 
-/// The disk task's per-file state.
+/// The disk stage's per-file state.
 struct DiskFile {
     handle: Box<dyn FileHandle>,
     /// Steps left until this file's last write is issued — the
@@ -302,7 +318,7 @@ struct DiskFile {
     in_flight: usize,
 }
 
-/// The disk task's per-request state.
+/// The disk stage's per-request state.
 struct DiskRun {
     files: Vec<DiskFile>,
     sync_policy: SyncPolicy,
@@ -316,30 +332,98 @@ fn drain_file(
     total: &mut usize,
     block: bool,
     request: u64,
-    out: &mpsc::Sender<DiskOut>,
+    done: &mut dyn FnMut(DiskOut),
 ) -> Result<(), FsError> {
     for buf in f.handle.drain_completions(block)? {
         f.in_flight -= 1;
         *total -= 1;
-        let _ = out.send(DiskOut::Free { request, buf });
+        done(DiskOut::Buffer { request, buf });
     }
     Ok(())
 }
 
-/// The engine's pinned disk task: the single task that touches this
-/// server's files, for every request it ever serves. Runs until the
-/// command channel closes. An `FsError` is fatal for the server (as it
-/// always was): the task exits and the scheduler surfaces the error
-/// through the join.
-fn run_disk_task(
+/// The disk stage: the only code that touches this server's files, for
+/// every request the server ever serves. Two threads run it, the pinned
+/// disk task ([`run_disk_task`]) and the scheduler itself for fast
+/// sub-grain commands ([`DiskLink::submit`]), so there is one copy of
+/// the disk logic and one per-request file table. An `FsError` is fatal
+/// for the server (as it always was).
+struct DiskStage {
     recorder: Arc<dyn Recorder>,
     node: u32,
     fs: Arc<dyn FileSystem>,
-    cmds: mpsc::Receiver<DiskCmd>,
-    out: mpsc::Sender<DiskOut>,
-) -> Result<(), FsError> {
-    let mut runs: HashMap<u64, DiskRun> = HashMap::new();
-    for cmd in cmds.iter() {
+    runs: HashMap<u64, DiskRun>,
+    /// Wall time of the last `Write` (up to, not including, a per-file
+    /// sync) or `Read`, on whichever thread applied it. Starts at `MAX`:
+    /// an unmeasured device counts as slow.
+    device: Duration,
+    /// Last measured hand-off latency: how long a command that found the
+    /// pinned task idle waited for the task to pick it up.
+    handoff: Duration,
+}
+
+impl DiskStage {
+    fn new(recorder: Arc<dyn Recorder>, node: u32, fs: Arc<dyn FileSystem>) -> Self {
+        DiskStage {
+            recorder,
+            node,
+            fs,
+            runs: HashMap::new(),
+            device: Duration::MAX,
+            handoff: Duration::ZERO,
+        }
+    }
+
+    /// Whether `cmd` is cheaper to apply on the scheduler than to hand
+    /// to the (idle) task: a `Write` or `Read` of fewer than
+    /// `GRAIN_BYTES`, while the device answers faster than a hand-off.
+    /// `Open`, `Close` and a write that syncs stay on the task: they
+    /// preallocate or fsync, which must neither stall the scheduler nor
+    /// move file allocations between threads.
+    fn runs_inline(&self, cmd: &DiskCmd) -> bool {
+        let (DiskCmd::Write {
+            request, file, buf, ..
+        }
+        | DiskCmd::Read {
+            request, file, buf, ..
+        }) = cmd
+        else {
+            return false;
+        };
+        let Some(run) = self.runs.get(request) else {
+            return false;
+        };
+        let syncs = matches!(cmd, DiskCmd::Write { .. })
+            && match run.sync_policy {
+                SyncPolicy::PerWrite => true,
+                SyncPolicy::PerFile => run.files[*file].remaining == 1,
+                SyncPolicy::PerCollective => false,
+            };
+        buf.len() < GRAIN_BYTES && self.device < self.handoff && !syncs
+    }
+
+    /// Apply one command, reporting its completions through `done`.
+    fn apply(&mut self, cmd: DiskCmd, done: &mut dyn FnMut(DiskOut)) -> Result<(), FsError> {
+        let DiskStage {
+            recorder,
+            node,
+            fs,
+            runs,
+            device,
+            ..
+        } = self;
+        let (recorder, node) = (&**recorder, *node);
+        let record_sync = |files: u32, t: Option<Instant>| {
+            if let Some(t) = t {
+                recorder.record(
+                    node,
+                    &Event::DiskSyncDone {
+                        files,
+                        dur: t.elapsed(),
+                    },
+                );
+            }
+        };
         match cmd {
             DiskCmd::Open {
                 request,
@@ -388,87 +472,53 @@ fn run_disk_task(
                 buf,
             } => {
                 let Some(run) = runs.get_mut(&request) else {
-                    continue; // request already closed (cannot happen)
+                    return Ok(()); // request already closed (cannot happen)
                 };
                 let bytes = buf.len() as u64;
-                let t_disk = recorder.enabled().then(Instant::now);
-                if matches!(run.sync_policy, SyncPolicy::PerWrite) {
-                    // The paper's semantics: fsync after every write
-                    // operation. Strictly synchronous by definition.
-                    let f = &mut run.files[file];
-                    f.handle.write_at(offset, &buf)?;
-                    if let Some(t) = t_disk {
+                let t_disk = Instant::now();
+                let write_done = || {
+                    if recorder.enabled() {
                         recorder.record(
                             node,
                             &Event::DiskWriteDone {
                                 key,
                                 offset,
                                 bytes,
-                                dur: t.elapsed(),
+                                dur: t_disk.elapsed(),
                             },
                         );
                     }
+                };
+                let f = &mut run.files[file];
+                if matches!(run.sync_policy, SyncPolicy::PerWrite) {
+                    // The paper's semantics: fsync after every write
+                    // operation. Strictly synchronous by definition.
+                    f.handle.write_at(offset, &buf)?;
+                    write_done();
                     let t_sync = recorder.enabled().then(Instant::now);
                     f.handle.sync()?;
-                    if let Some(t) = t_sync {
-                        recorder.record(
-                            node,
-                            &Event::DiskSyncDone {
-                                files: 1,
-                                dur: t.elapsed(),
-                            },
-                        );
-                    }
-                    let _ = out.send(DiskOut::Free { request, buf });
+                    record_sync(1, t_sync);
+                    done(DiskOut::Buffer { request, buf });
                 } else {
                     // Submission path: hand the buffer to the backend
                     // and move on. Synchronous backends complete inline
                     // and return the buffer; a submission-queue backend
                     // keeps it until a completion thread lands the
-                    // write, so the task runs ahead of the device by up
-                    // to this *request's* window.
-                    let f = &mut run.files[file];
-                    match f.handle.submit_write(offset, buf)? {
-                        Some(buf) => {
-                            if let Some(t) = t_disk {
-                                recorder.record(
-                                    node,
-                                    &Event::DiskWriteDone {
-                                        key,
-                                        offset,
-                                        bytes,
-                                        dur: t.elapsed(),
-                                    },
-                                );
-                            }
-                            let _ = out.send(DiskOut::Free { request, buf });
-                        }
+                    // write, so the stage runs ahead of the device by up
+                    // to this *request's* window. For a deferred write
+                    // `DiskWriteDone` is the time spent issuing: the
+                    // device time surfaces later as `FsWrite`/
+                    // `FsComplete` events.
+                    let returned = f.handle.submit_write(offset, buf)?;
+                    write_done();
+                    match returned {
+                        Some(buf) => done(DiskOut::Buffer { request, buf }),
                         None => {
                             f.in_flight += 1;
                             run.total_in_flight += 1;
-                            if let Some(t) = t_disk {
-                                // Time spent issuing, not completing:
-                                // the device time surfaces later as
-                                // `FsWrite`/`FsComplete` events.
-                                recorder.record(
-                                    node,
-                                    &Event::DiskWriteDone {
-                                        key,
-                                        offset,
-                                        bytes,
-                                        dur: t.elapsed(),
-                                    },
-                                );
-                            }
                         }
                     }
-                    drain_file(
-                        &mut run.files[file],
-                        &mut run.total_in_flight,
-                        false,
-                        request,
-                        &out,
-                    )?;
+                    drain_file(f, &mut run.total_in_flight, false, request, done)?;
                     while run.total_in_flight > run.window {
                         // Steps are file-sequential per request, so the
                         // oldest submission belongs to the first file
@@ -483,10 +533,11 @@ fn run_disk_task(
                             &mut run.total_in_flight,
                             true,
                             request,
-                            &out,
+                            done,
                         )?;
                     }
                 }
+                *device = t_disk.elapsed();
                 let f = &mut run.files[file];
                 f.remaining -= 1;
                 // Under the per-file policy, sync as soon as an array's
@@ -496,22 +547,8 @@ fn run_disk_task(
                 if f.remaining == 0 && matches!(run.sync_policy, SyncPolicy::PerFile) {
                     let t_sync = recorder.enabled().then(Instant::now);
                     f.handle.sync()?;
-                    if let Some(t) = t_sync {
-                        recorder.record(
-                            node,
-                            &Event::DiskSyncDone {
-                                files: 1,
-                                dur: t.elapsed(),
-                            },
-                        );
-                    }
-                    drain_file(
-                        &mut run.files[file],
-                        &mut run.total_in_flight,
-                        false,
-                        request,
-                        &out,
-                    )?;
+                    record_sync(1, t_sync);
+                    drain_file(f, &mut run.total_in_flight, false, request, done)?;
                 }
             }
             DiskCmd::Read {
@@ -519,90 +556,161 @@ fn run_disk_task(
                 file,
                 key,
                 offset,
-                bytes,
                 mut buf,
             } => {
                 let Some(run) = runs.get_mut(&request) else {
-                    continue;
+                    return Ok(());
                 };
-                // `read_at` overwrites every byte, so a recycled buffer
-                // of the right length is not zeroed again.
-                buf.resize(bytes, 0);
-                let t_disk = recorder.enabled().then(Instant::now);
+                let t_disk = Instant::now();
                 run.files[file].handle.read_at(offset, &mut buf)?;
+                *device = t_disk.elapsed();
                 if recorder.enabled() {
-                    if let Some(t) = t_disk {
-                        recorder.record(
-                            node,
-                            &Event::DiskReadDone {
-                                key,
-                                offset,
-                                bytes: buf.len() as u64,
-                                dur: t.elapsed(),
-                            },
-                        );
-                    }
+                    let bytes = buf.len() as u64;
                     recorder.record(
                         node,
-                        &Event::DiskReadQueued {
+                        &Event::DiskReadDone {
                             key,
-                            bytes: buf.len() as u64,
+                            offset,
+                            bytes,
+                            dur: *device,
                         },
                     );
+                    recorder.record(node, &Event::DiskReadQueued { key, bytes });
                 }
-                if out.send(DiskOut::Full { request, buf }).is_err() {
-                    // Scheduler bailed; nothing left to prefetch for.
-                    return Ok(());
-                }
+                done(DiskOut::Buffer { request, buf });
             }
             DiskCmd::Close { request } => {
                 let Some(mut run) = runs.remove(&request) else {
-                    continue;
+                    return Ok(());
                 };
                 if matches!(run.sync_policy, SyncPolicy::PerCollective) {
-                    // One coalesced barrier for the whole request:
-                    // every fsync happens after every write has been
-                    // issued, so no flush ever sits between two writes.
+                    // One coalesced barrier for the whole request: every
+                    // fsync happens after every write has been issued,
+                    // so no flush ever sits between two writes.
                     let t_sync = recorder.enabled().then(Instant::now);
-                    let n = run.files.len() as u32;
                     for f in run.files.iter_mut() {
                         f.handle.sync()?;
-                        drain_file(f, &mut run.total_in_flight, false, request, &out)?;
+                        drain_file(f, &mut run.total_in_flight, false, request, done)?;
                     }
-                    if let Some(t) = t_sync {
-                        recorder.record(
-                            node,
-                            &Event::DiskSyncDone {
-                                files: n,
-                                dur: t.elapsed(),
-                            },
-                        );
-                    }
+                    record_sync(run.files.len() as u32, t_sync);
                 } else {
                     // Per-file/per-write syncs already landed; collect
                     // any straggler completions before retiring.
-                    for i in 0..run.files.len() {
-                        while run.files[i].in_flight > 0 {
-                            drain_file(
-                                &mut run.files[i],
-                                &mut run.total_in_flight,
-                                true,
-                                request,
-                                &out,
-                            )?;
+                    for f in run.files.iter_mut() {
+                        while f.in_flight > 0 {
+                            drain_file(f, &mut run.total_in_flight, true, request, done)?;
                         }
                     }
                 }
-                let _ = out.send(DiskOut::Closed { request });
+                done(DiskOut::Closed { request });
             }
         }
+        Ok(())
+    }
+}
+
+/// What the scheduler and the pinned disk task share.
+struct DiskShared {
+    stage: Mutex<DiskStage>,
+    /// Commands sent to the task and not yet applied. The scheduler
+    /// applies a command itself only while this is zero, which keeps
+    /// every command in issue order.
+    queued: AtomicUsize,
+}
+
+/// The pinned disk task: applies the commands handed to it, in arrival
+/// order, until the command channel closes. Each command carries the
+/// instant it was sent; one that found the task idle stamps its pickup
+/// delay as the stage's hand-off latency. An `FsError` ends the task
+/// with `queued` left nonzero, so the scheduler never touches the stage
+/// again and surfaces the error through the join.
+fn run_disk_task(
+    shared: &DiskShared,
+    cmds: mpsc::Receiver<(DiskCmd, Instant)>,
+    out: mpsc::Sender<DiskOut>,
+) -> Result<(), FsError> {
+    let mut idle_since = Instant::now();
+    for (cmd, sent) in cmds.iter() {
+        let picked = Instant::now();
+        let mut stage = shared
+            .stage
+            .lock()
+            .expect("a disk-stage thread panicked mid-command");
+        if sent >= idle_since {
+            stage.handoff = picked - sent;
+        }
+        stage.apply(cmd, &mut |done| {
+            let _ = out.send(done);
+        })?;
+        drop(stage);
+        // Release pairs with the scheduler's Acquire in `submit`: a zero
+        // count publishes the completions sent above.
+        shared.queued.fetch_sub(1, Ordering::Release);
+        idle_since = Instant::now();
     }
     Ok(())
 }
 
+/// The scheduler's end of the disk stage: one ordered stream of
+/// completions, whichever thread applied the command.
+struct DiskLink {
+    shared: Arc<DiskShared>,
+    tx: mpsc::Sender<(DiskCmd, Instant)>,
+    /// Completions from the task.
+    rx: mpsc::Receiver<DiskOut>,
+    /// Completions taken ahead of the scheduler's next drain: whatever
+    /// the task had sent before an inline command, then that command's
+    /// own. Always older than anything still in `rx`.
+    inbox: VecDeque<DiskOut>,
+}
+
+impl DiskLink {
+    /// Hand one command to the pinned task. A closed channel means the
+    /// task already died — the join in [`ServerNode::run`] has the
+    /// cause.
+    fn send(&mut self, cmd: DiskCmd) -> Result<(), PandaError> {
+        // Relaxed suffices: the channel orders this increment before the
+        // task's decrement, and only the scheduler reads the count.
+        self.shared.queued.fetch_add(1, Ordering::Relaxed);
+        self.tx
+            .send((cmd, Instant::now()))
+            .map_err(|_| PandaError::Protocol {
+                detail: "disk task stopped early".to_string(),
+            })
+    }
+
+    /// Issue a `Write` or `Read`: apply it on the scheduler when
+    /// nothing is queued to the task and [`DiskStage::runs_inline`] says
+    /// a hand-off would cost more than the command; otherwise hand it to
+    /// the task.
+    fn submit(&mut self, cmd: DiskCmd) -> Result<(), PandaError> {
+        if self.shared.queued.load(Ordering::Acquire) == 0 {
+            let mut stage = self
+                .shared
+                .stage
+                .lock()
+                .expect("a disk-stage thread panicked mid-command");
+            if stage.runs_inline(&cmd) {
+                // The task sends its completions before it counts a
+                // command applied, so all of them are in `rx` by now and
+                // move ahead of this command's: reads stay in order.
+                self.inbox.extend(self.rx.try_iter());
+                let inbox = &mut self.inbox;
+                return Ok(stage.apply(cmd, &mut |done| inbox.push_back(done))?);
+            }
+        }
+        self.send(cmd)
+    }
+
+    /// The oldest completion not yet taken, without blocking.
+    fn next_done(&mut self) -> Option<DiskOut> {
+        self.inbox.pop_front().or_else(|| self.rx.try_recv().ok())
+    }
+}
+
 /// Land one fetched piece in its subchunk's buffer and record the
 /// reorganization. Every write step funnels through here from the
-/// engine's pooled assembly jobs.
+/// engine's assembly jobs (pooled above the grain).
 ///
 /// An identity step's piece is the whole subchunk in disk order, so a
 /// uniquely owned payload of exactly `sub.bytes` bytes *becomes* the
@@ -734,14 +842,26 @@ impl ServerNode {
     /// scheduler, then joins the task — a disk error is the root cause
     /// when both sides failed.
     pub fn run(mut self) -> Result<(), PandaError> {
-        let (cmd_tx, cmd_rx) = mpsc::channel::<DiskCmd>();
+        let (cmd_tx, cmd_rx) = mpsc::channel();
         let (out_tx, out_rx) = mpsc::channel::<DiskOut>();
-        let recorder = Arc::clone(&self.recorder);
-        let node = self.my_rank();
-        let fs = Arc::clone(&self.fs);
+        let shared = Arc::new(DiskShared {
+            stage: Mutex::new(DiskStage::new(
+                Arc::clone(&self.recorder),
+                self.my_rank(),
+                Arc::clone(&self.fs),
+            )),
+            queued: AtomicUsize::new(0),
+        });
+        let task_shared = Arc::clone(&shared);
         let disk = self
             .pool
-            .spawn_pinned(move || run_disk_task(recorder, node, fs, cmd_rx, out_tx));
+            .spawn_pinned(move || run_disk_task(&task_shared, cmd_rx, out_tx));
+        let mut link = DiskLink {
+            shared,
+            tx: cmd_tx,
+            rx: out_rx,
+            inbox: VecDeque::new(),
+        };
         let mut st = SchedState {
             live: Vec::new(),
             queue: VecDeque::new(),
@@ -750,9 +870,9 @@ impl ServerNode {
             draining: false,
             disk_pending: 0,
         };
-        let run = self.serve(&mut st, &cmd_tx, &out_rx);
+        let run = self.serve(&mut st, &mut link);
         // Closing the command channel lets the disk task drain and exit.
-        drop(cmd_tx);
+        drop(link);
         let disk = disk.join().map_err(|_| PandaError::Protocol {
             detail: "disk task panicked".to_string(),
         })?;
@@ -764,20 +884,15 @@ impl ServerNode {
     }
 
     /// The scheduler loop (see the module docs for its four phases).
-    fn serve(
-        &mut self,
-        st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
-        out_rx: &mpsc::Receiver<DiskOut>,
-    ) -> Result<(), PandaError> {
+    fn serve(&mut self, st: &mut SchedState, disk: &mut DiskLink) -> Result<(), PandaError> {
         loop {
-            let mut progress = self.pump_all(st, cmd_tx)?;
+            let mut progress = self.pump_all(st, disk)?;
             while let Some((src, msg)) = try_recv_msg(&mut *self.transport, MatchSpec::any())? {
-                self.dispatch(st, cmd_tx, src, msg, Duration::ZERO)?;
+                self.dispatch(st, disk, src, msg, Duration::ZERO)?;
                 progress = true;
             }
-            while let Ok(done) = out_rx.try_recv() {
-                self.disk_done(st, cmd_tx, done)?;
+            while let Some(done) = disk.next_done() {
+                self.disk_done(st, disk, done)?;
                 progress = true;
             }
             self.publish_health(st);
@@ -791,8 +906,8 @@ impl ServerNode {
                 // Disk work outstanding: progress may come from either
                 // side, so park briefly on the disk channel and re-poll
                 // the transport.
-                match out_rx.recv_timeout(DISK_PARK) {
-                    Ok(done) => self.disk_done(st, cmd_tx, done)?,
+                match disk.rx.recv_timeout(DISK_PARK) {
+                    Ok(done) => self.disk_done(st, disk, done)?,
                     Err(mpsc::RecvTimeoutError::Timeout) => {}
                     Err(mpsc::RecvTimeoutError::Disconnected) => {
                         return Err(PandaError::Protocol {
@@ -808,18 +923,14 @@ impl ServerNode {
                 let t_wait = self.obs_on().then(Instant::now);
                 let (src, msg) = recv_msg(&mut *self.transport, MatchSpec::any())?;
                 let wait = t_wait.map_or(Duration::ZERO, |t| t.elapsed());
-                self.dispatch(st, cmd_tx, src, msg, wait)?;
+                self.dispatch(st, disk, src, msg, wait)?;
             }
         }
     }
 
     /// Pump every live run once: highest priority first, equal
     /// priorities in rotating round-robin order so no request starves.
-    fn pump_all(
-        &mut self,
-        st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
-    ) -> Result<bool, PandaError> {
+    fn pump_all(&mut self, st: &mut SchedState, disk: &mut DiskLink) -> Result<bool, PandaError> {
         if st.live.is_empty() {
             return Ok(false);
         }
@@ -833,7 +944,7 @@ impl ServerNode {
         let mut progress = false;
         for idx in order {
             let mut run = mem::replace(&mut st.live[idx], RequestRun::hollow());
-            let moved = self.pump_run(&mut st.disk_pending, cmd_tx, &mut run);
+            let moved = self.pump_run(&mut st.disk_pending, disk, &mut run);
             st.live[idx] = run;
             progress |= moved?;
         }
@@ -843,23 +954,23 @@ impl ServerNode {
     fn pump_run(
         &mut self,
         disk_pending: &mut usize,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
+        disk: &mut DiskLink,
         run: &mut RequestRun,
     ) -> Result<bool, PandaError> {
         match run.dir {
-            OpDir::Write => self.pump_write(disk_pending, cmd_tx, run),
-            OpDir::Read => self.pump_read(disk_pending, cmd_tx, run),
+            OpDir::Write => self.pump_write(disk_pending, disk, run),
+            OpDir::Read => self.pump_read(disk_pending, disk, run),
         }
     }
 
     /// Advance one write-direction run as far as it will go without
-    /// blocking: assemble arrived replies in parallel, queue completed
-    /// head subchunks to the disk task, and keep up to `depth` steps'
+    /// blocking: assemble arrived replies, issue completed head
+    /// subchunks to the disk stage, and keep up to `depth` steps'
     /// fetches outstanding.
     fn pump_write(
         &mut self,
         disk_pending: &mut usize,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
+        disk: &mut DiskLink,
         run: &mut RequestRun,
     ) -> Result<bool, PandaError> {
         let mut progress = false;
@@ -867,9 +978,11 @@ impl ServerNode {
             let mut moved = false;
             // Assemble the arrived batch, window slots in parallel:
             // each job owns one slot's buffer (disjoint via
-            // `iter_mut`); pieces within a slot stay serial.
+            // `iter_mut`); pieces within a slot stay serial. A batch
+            // below the pool's grain is assembled right here.
             if !run.pending.is_empty() {
                 moved = true;
+                let bytes = run.pending.iter().map(|p| p.payload.len()).sum();
                 let front = run.front;
                 let mut per_slot: Vec<Vec<PendingPiece>> =
                     (0..run.window.len()).map(|_| Vec::new()).collect();
@@ -897,43 +1010,39 @@ impl ServerNode {
                         Ok(())
                     }));
                 }
-                self.pool.run_scoped_result(jobs)?;
+                self.pool.run_scoped_result(bytes, jobs)?;
             }
-            // Queue completed head subchunks to the disk task: it
-            // writes step k while replies for k+1.. assemble here. The
-            // per-request bound keeps one run from monopolizing the
-            // shared task.
+            // Issue completed head subchunks to the disk stage: the task
+            // writes step k while replies for k+1.. assemble here (a
+            // fast device writes it right here). The per-request bound
+            // keeps one run from monopolizing the shared stage.
             while run.window.front().is_some_and(|s| s.remaining == 0)
                 && run.disk_queued < run.depth
             {
                 let done = run.window.pop_front().expect("checked front");
                 let step = &run.sched.steps[run.front];
+                let key = self.key_of(run.request, step);
                 self.emit(&Event::DiskWriteQueued {
-                    key: self.key_of(run.request, step),
+                    key,
                     bytes: done.buf.len() as u64,
                 });
-                Self::disk_send(
-                    cmd_tx,
-                    DiskCmd::Write {
-                        request: run.request,
-                        file: step.file,
-                        key: self.key_of(run.request, step),
-                        offset: step.sub.file_offset,
-                        buf: done.buf,
-                    },
-                )?;
+                let cmd = DiskCmd::Write {
+                    request: run.request,
+                    file: step.file,
+                    key,
+                    offset: step.sub.file_offset,
+                    buf: done.buf,
+                };
                 *disk_pending += 1;
                 run.disk_queued += 1;
                 run.front += 1;
+                disk.submit(cmd)?;
                 moved = true;
             }
             if run.front == run.sched.steps.len() && !run.close_sent {
-                Self::disk_send(
-                    cmd_tx,
-                    DiskCmd::Close {
-                        request: run.request,
-                    },
-                )?;
+                disk.send(DiskCmd::Close {
+                    request: run.request,
+                })?;
                 *disk_pending += 1;
                 run.close_sent = true;
                 moved = true;
@@ -948,10 +1057,10 @@ impl ServerNode {
                 } else if run.depth == 1 {
                     // Depth 1 is the strictly serialized oracle: the
                     // next fetch waits for the disk write to land (the
-                    // buffer comes back as a `Free`).
+                    // buffer comes back in a `DiskOut::Buffer`).
                     break;
                 } else {
-                    // Deeper windows keep fetching while the disk task
+                    // Deeper windows keep fetching while the disk stage
                     // works; the per-request disk queue bound is the
                     // backpressure.
                     run.overflow += 1;
@@ -1019,7 +1128,7 @@ impl ServerNode {
     fn pump_read(
         &mut self,
         disk_pending: &mut usize,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
+        disk: &mut DiskLink,
         run: &mut RequestRun,
     ) -> Result<bool, PandaError> {
         let mut progress = false;
@@ -1053,7 +1162,7 @@ impl ServerNode {
             while run.reads_issued < run.sched.steps.len()
                 && run.reads_issued - run.next_scatter < run.depth
             {
-                let buf = if let Some(b) = run.free_bufs.pop() {
+                let mut buf = if let Some(b) = run.free_bufs.pop() {
                     b
                 } else if run.circulating < run.depth {
                     run.circulating += 1;
@@ -1063,28 +1172,28 @@ impl ServerNode {
                 };
                 debug_assert!(run.circulating <= run.depth);
                 let step = &run.sched.steps[run.reads_issued];
-                Self::disk_send(
-                    cmd_tx,
-                    DiskCmd::Read {
-                        request: run.request,
-                        file: step.file,
-                        key: self.key_of(run.request, step),
-                        offset: step.sub.file_offset,
-                        bytes: step.sub.bytes,
-                        buf,
-                    },
-                )?;
+                // Sized here rather than in the disk stage, so every
+                // buffer is allocated on the scheduler whichever thread
+                // fills it. `read_at` overwrites every byte, so a
+                // recycled buffer of the right length is not zeroed
+                // again.
+                buf.resize(step.sub.bytes, 0);
+                let cmd = DiskCmd::Read {
+                    request: run.request,
+                    file: step.file,
+                    key: self.key_of(run.request, step),
+                    offset: step.sub.file_offset,
+                    buf,
+                };
                 *disk_pending += 1;
                 run.reads_issued += 1;
+                disk.submit(cmd)?;
                 moved = true;
             }
             if run.next_scatter == run.sched.steps.len() && !run.close_sent {
-                Self::disk_send(
-                    cmd_tx,
-                    DiskCmd::Close {
-                        request: run.request,
-                    },
-                )?;
+                disk.send(DiskCmd::Close {
+                    request: run.request,
+                })?;
                 *disk_pending += 1;
                 run.close_sent = true;
                 moved = true;
@@ -1096,9 +1205,9 @@ impl ServerNode {
         }
     }
 
-    /// Reorganize and push one read step: pack all of its pieces in
-    /// parallel on the worker pool (large pieces additionally split
-    /// along their outermost dimension inside
+    /// Reorganize and push one read step: pack its pieces, in parallel
+    /// on the worker pool when the subchunk is above the grain (large
+    /// pieces additionally split along their outermost dimension inside
     /// [`IoPool::pack_region_par`]), trimming each to the requested
     /// section, then send them in piece order so the per-client message
     /// stream matches the serial schedule.
@@ -1157,7 +1266,7 @@ impl ServerNode {
                         as Box<dyn FnOnce() -> Result<(), SchemaError> + Send + '_>
                 })
                 .collect();
-            pool.run_scoped_result(jobs)?;
+            pool.run_scoped_result(step.sub.bytes, jobs)?;
         }
         for ((pi, target), data) in targets.into_iter().zip(packed) {
             let piece_client = step.sub.pieces[pi].client;
@@ -1195,20 +1304,12 @@ impl ServerNode {
         Ok(())
     }
 
-    /// Send one disk command; a closed channel means the disk task
-    /// already died — the join in [`ServerNode::run`] has the cause.
-    fn disk_send(cmd_tx: &mpsc::Sender<DiskCmd>, cmd: DiskCmd) -> Result<(), PandaError> {
-        cmd_tx.send(cmd).map_err(|_| PandaError::Protocol {
-            detail: "disk task stopped early".to_string(),
-        })
-    }
-
     /// Route one transport message. `wait` is the time the scheduler
     /// spent blocked for it (zero when it was drained non-blocking).
     fn dispatch(
         &mut self,
         st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
+        disk: &mut DiskLink,
         src: NodeId,
         msg: Msg,
         wait: Duration,
@@ -1218,7 +1319,7 @@ impl ServerNode {
                 st.draining = true;
                 Ok(())
             }
-            Msg::Collective(req) => self.admit(st, cmd_tx, req),
+            Msg::Collective(req) => self.admit(st, disk, req),
             Msg::Data {
                 request,
                 seq,
@@ -1270,15 +1371,15 @@ impl ServerNode {
     fn admit(
         &mut self,
         st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
+        disk: &mut DiskLink,
         req: CollectiveRequest,
     ) -> Result<(), PandaError> {
         if !self.is_master() {
-            return self.start_run(st, cmd_tx, req);
+            return self.start_run(st, disk, req);
         }
         if st.live.len() < self.max_concurrent {
             self.relay(&req)?;
-            return self.start_run(st, cmd_tx, req);
+            return self.start_run(st, disk, req);
         }
         if req.participants.len() > 1 || st.queue.len() < self.max_queued {
             st.queue.push_back(req);
@@ -1323,12 +1424,12 @@ impl ServerNode {
     }
 
     /// Lower an admitted request into a live [`RequestRun`]: build its
-    /// schedule, open its files on the disk task, and enter it into the
+    /// schedule, open its files on the disk stage, and enter it into the
     /// scheduler.
     fn start_run(
         &mut self,
         st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
+        disk: &mut DiskLink,
         req: CollectiveRequest,
     ) -> Result<(), PandaError> {
         let depth = req.pipeline_depth.max(1);
@@ -1369,29 +1470,26 @@ impl ServerNode {
                 },
             );
         }
-        Self::disk_send(
-            cmd_tx,
-            DiskCmd::Open {
-                request: req.request,
-                write: matches!(req.op, OpKind::Write),
-                sync_policy: sched.sync_policy,
-                window: depth - 1,
-                files: sched
-                    .files
-                    .iter()
-                    .map(|f| OpenSpec {
-                        name: Self::file_name(&f.tag, self.server_idx),
-                        steps: f.steps,
-                        bytes: f.bytes,
-                    })
-                    .collect(),
-                empty_files: sched
-                    .empty_files
-                    .iter()
-                    .map(|t| Self::file_name(t, self.server_idx))
-                    .collect(),
-            },
-        )?;
+        disk.send(DiskCmd::Open {
+            request: req.request,
+            write: matches!(req.op, OpKind::Write),
+            sync_policy: sched.sync_policy,
+            window: depth - 1,
+            files: sched
+                .files
+                .iter()
+                .map(|f| OpenSpec {
+                    name: Self::file_name(&f.tag, self.server_idx),
+                    steps: f.steps,
+                    bytes: f.bytes,
+                })
+                .collect(),
+            empty_files: sched
+                .empty_files
+                .iter()
+                .map(|t| Self::file_name(t, self.server_idx))
+                .collect(),
+        })?;
         let mut run = RequestRun {
             request: req.request,
             priority: req.priority,
@@ -1405,12 +1503,9 @@ impl ServerNode {
         if run.sched.is_empty() {
             // Nothing to transfer: retire the request's (empty) disk
             // state straight away.
-            Self::disk_send(
-                cmd_tx,
-                DiskCmd::Close {
-                    request: run.request,
-                },
-            )?;
+            disk.send(DiskCmd::Close {
+                request: run.request,
+            })?;
             st.disk_pending += 1;
             run.close_sent = true;
         }
@@ -1466,30 +1561,29 @@ impl ServerNode {
     fn disk_done(
         &mut self,
         st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
+        disk: &mut DiskLink,
         done: DiskOut,
     ) -> Result<(), PandaError> {
         st.disk_pending -= 1;
         match done {
-            DiskOut::Free { request, buf } => {
+            DiskOut::Buffer { request, buf } => {
                 if let Some(run) = st.live.iter_mut().find(|r| r.request == request) {
-                    run.disk_queued -= 1;
-                    if run.overflow > 0 {
-                        run.overflow -= 1;
-                    } else {
-                        run.free_bufs.push(buf);
-                        debug_assert!(run.free_bufs.len() <= run.circulating);
+                    match run.dir {
+                        OpDir::Write => {
+                            run.disk_queued -= 1;
+                            if run.overflow > 0 {
+                                run.overflow -= 1;
+                            } else {
+                                run.free_bufs.push(buf);
+                                debug_assert!(run.free_bufs.len() <= run.circulating);
+                            }
+                        }
+                        OpDir::Read => run.ready_bufs.push_back(buf),
                     }
                 }
                 Ok(())
             }
-            DiskOut::Full { request, buf } => {
-                if let Some(run) = st.live.iter_mut().find(|r| r.request == request) {
-                    run.ready_bufs.push_back(buf);
-                }
-                Ok(())
-            }
-            DiskOut::Closed { request } => self.finish_run(st, cmd_tx, request),
+            DiskOut::Closed { request } => self.finish_run(st, disk, request),
         }
     }
 
@@ -1499,7 +1593,7 @@ impl ServerNode {
     fn finish_run(
         &mut self,
         st: &mut SchedState,
-        cmd_tx: &mpsc::Sender<DiskCmd>,
+        disk: &mut DiskLink,
         request: u64,
     ) -> Result<(), PandaError> {
         let idx = st
@@ -1525,7 +1619,7 @@ impl ServerNode {
                     break;
                 };
                 self.relay(&req)?;
-                self.start_run(st, cmd_tx, req)?;
+                self.start_run(st, disk, req)?;
             }
         } else {
             let dst = self.master_server();

@@ -5,12 +5,14 @@
 
 mod common;
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use common::*;
 use panda_core::{ArrayMeta, PandaConfig, PandaError, PandaSystem, ReadSet, WriteSet};
-use panda_fs::{FileSystem, MemFs};
+use panda_fs::{FileHandle, FileSystem, FsError, IoStats, MemFs};
 use panda_schema::{Dist, ElementType, Region};
 
 /// Write the pattern at `depth`, returning each server's file plus the
@@ -303,4 +305,176 @@ fn multi_array_pipelined_roundtrip() {
     assert_pattern(&a, &a_bufs);
     assert_pattern(&b, &b_bufs);
     system.shutdown(clients).unwrap();
+}
+
+/// One positioned access seen by [`StallFs`]: file, write?, offset, length.
+type Access = (String, bool, u64, usize);
+
+/// A [`MemFs`] whose every `every`-th write or read stalls for ~2 ms, and
+/// which logs every write and read in the order the device saw them. A
+/// stall makes the server's disk stage measure a slow device, so the
+/// commands after it are handed to the pinned disk task; once the task
+/// measures the device fast again, sub-grain commands run on the
+/// scheduler. One collective therefore switches between the two
+/// threads several times.
+struct StallFs {
+    inner: MemFs,
+    every: usize,
+    ops: Arc<AtomicUsize>,
+    log: Arc<Mutex<Vec<Access>>>,
+}
+
+impl StallFs {
+    fn new(every: usize) -> Self {
+        StallFs {
+            inner: MemFs::new(),
+            every,
+            ops: Arc::new(AtomicUsize::new(0)),
+            log: Arc::new(Mutex::new(Vec::new())),
+        }
+    }
+
+    fn wrap(&self, name: &str, inner: Box<dyn FileHandle>) -> Box<dyn FileHandle> {
+        Box::new(StallHandle {
+            name: name.to_string(),
+            inner,
+            every: self.every,
+            ops: Arc::clone(&self.ops),
+            log: Arc::clone(&self.log),
+        })
+    }
+
+    /// Each file's accesses in one direction, as `(offset, len)` in
+    /// device order.
+    fn accesses(&self, write: bool) -> HashMap<String, Vec<(u64, usize)>> {
+        let mut per_file: HashMap<String, Vec<(u64, usize)>> = HashMap::new();
+        for (name, w, offset, len) in self.log.lock().unwrap().iter() {
+            if *w == write {
+                per_file
+                    .entry(name.clone())
+                    .or_default()
+                    .push((*offset, *len));
+            }
+        }
+        per_file
+    }
+}
+
+impl FileSystem for StallFs {
+    fn create(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
+        Ok(self.wrap(path, self.inner.create(path)?))
+    }
+    fn open(&self, path: &str) -> Result<Box<dyn FileHandle>, FsError> {
+        Ok(self.wrap(path, self.inner.open(path)?))
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.inner.exists(path)
+    }
+    fn remove(&self, path: &str) -> Result<(), FsError> {
+        self.inner.remove(path)
+    }
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+    fn stats(&self) -> Arc<IoStats> {
+        self.inner.stats()
+    }
+}
+
+struct StallHandle {
+    name: String,
+    inner: Box<dyn FileHandle>,
+    every: usize,
+    ops: Arc<AtomicUsize>,
+    log: Arc<Mutex<Vec<Access>>>,
+}
+
+impl StallHandle {
+    fn access(&self, write: bool, offset: u64, len: usize) {
+        self.log
+            .lock()
+            .unwrap()
+            .push((self.name.clone(), write, offset, len));
+        if (self.ops.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(self.every) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+}
+
+impl FileHandle for StallHandle {
+    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<(), FsError> {
+        self.access(true, offset, data.len());
+        self.inner.write_at(offset, data)
+    }
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), FsError> {
+        self.access(false, offset, buf.len());
+        self.inner.read_at(offset, buf)
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn sync(&mut self) -> Result<(), FsError> {
+        self.inner.sync()
+    }
+    fn preallocate(&mut self, len: u64) -> Result<(), FsError> {
+        self.inner.preallocate(len)
+    }
+}
+
+/// Assert that each file was accessed front to back: every access
+/// starts where the previous one ended, from offset 0 to the file's end.
+fn assert_sequential(per_file: &HashMap<String, Vec<(u64, usize)>>, fs: &StallFs, what: &str) {
+    assert!(!per_file.is_empty(), "no {what}s reached the device");
+    for (name, accesses) in per_file {
+        let mut end = 0u64;
+        for &(offset, len) in accesses {
+            assert_eq!(offset, end, "{what} of {name} out of sequence");
+            end += len as u64;
+        }
+        assert_eq!(end, fs.inner.contents(name).unwrap().len() as u64, "{name}");
+    }
+}
+
+#[test]
+fn commands_switching_threads_keep_files_identical_and_sequential() {
+    // 1 MiB reorganized onto 2 I/O nodes: 16 subchunks of 32 KiB per
+    // node, each assembled from (and scattered to) two clients.
+    let meta = make_array(
+        "t",
+        &[512, 256],
+        ElementType::F64,
+        &[2, 2],
+        DiskSchema::Traditional(2),
+    );
+    let run = |depth: usize| {
+        let fss: Vec<Arc<StallFs>> = (0..2).map(|_| Arc::new(StallFs::new(5))).collect();
+        let handles = fss.clone();
+        let config = PandaConfig::new(4, 2)
+            .with_subchunk_bytes(32 * 1024)
+            .with_pipeline_depth(depth)
+            .with_recv_timeout(Duration::from_secs(20));
+        let (system, mut clients) = PandaSystem::builder()
+            .config(config)
+            .launch(move |s| Arc::clone(&handles[s]) as Arc<dyn FileSystem>)
+            .unwrap();
+        collective_write(&mut clients, &meta, "t");
+        let bufs = collective_read(&mut clients, &meta, "t");
+        system.shutdown(clients).unwrap();
+        assert_pattern(&meta, &bufs);
+        fss
+    };
+    let serial = run(1);
+    let piped = run(4);
+    for (s, (a, b)) in serial.iter().zip(&piped).enumerate() {
+        let name = format!("t.s{s}");
+        assert_eq!(
+            b.inner.contents(&name).unwrap(),
+            a.inner.contents(&name).unwrap(),
+            "depth 4 file {name} differs from depth 1"
+        );
+    }
+    for fs in serial.iter().chain(&piped) {
+        assert_sequential(&fs.accesses(true), fs, "write");
+        assert_sequential(&fs.accesses(false), fs, "read");
+    }
 }
